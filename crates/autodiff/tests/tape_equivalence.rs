@@ -313,3 +313,18 @@ fn recycled_tape_reuses_buffers() {
     );
     assert!(stats.hits > 0, "steady-state pass must hit the pool");
 }
+
+#[test]
+fn layout_ops_are_the_identity_for_one_block() {
+    let mut tape = Tape::new();
+    let x = tape.parameter(mat(60, 4, 3));
+    let len = tape.len();
+    assert_eq!(tape.to_wide(x, 1), x);
+    assert_eq!(tape.to_stacked(x, 1), x);
+    assert_eq!(tape.len(), len, "a one-block layout op must push no node");
+    // Two blocks still permute through a real node.
+    let wide = tape.to_wide(x, 2);
+    assert_ne!(wide, x);
+    assert_eq!(tape.value(wide).shape(), (2, 6));
+    assert_eq!(tape.len(), len + 1);
+}

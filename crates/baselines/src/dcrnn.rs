@@ -136,7 +136,7 @@ impl DcrnnLite {
         sess.tape.add(uh, uc)
     }
 
-    fn run_sample(&self, sess: &mut Session, sample: &WindowSample) -> (Vec<Var>, Var) {
+    fn build_tape(&self, sess: &mut Session, sample: &WindowSample) -> (Vec<Var>, Var) {
         assert_eq!(
             sample.history_len(),
             self.cfg.history,
@@ -184,7 +184,7 @@ impl Forecaster for DcrnnLite {
 
     fn accumulate_gradients(&mut self, sample: &WindowSample) -> f64 {
         let mut sess = Session::new(&self.store);
-        let (_, loss) = self.run_sample(&mut sess, sample);
+        let (_, loss) = self.build_tape(&mut sess, sample);
         let value = sess.tape.value(loss)[(0, 0)];
         sess.backward(loss);
         sess.write_grads(&mut self.store);
@@ -193,13 +193,13 @@ impl Forecaster for DcrnnLite {
 
     fn loss(&self, sample: &WindowSample) -> f64 {
         let mut sess = Session::new(&self.store);
-        let (_, loss) = self.run_sample(&mut sess, sample);
+        let (_, loss) = self.build_tape(&mut sess, sample);
         sess.tape.value(loss)[(0, 0)]
     }
 
     fn predict(&self, sample: &WindowSample) -> Vec<Matrix> {
         let mut sess = Session::new(&self.store);
-        let (preds, _) = self.run_sample(&mut sess, sample);
+        let (preds, _) = self.build_tape(&mut sess, sample);
         preds.iter().map(|&v| sess.tape.value(v).clone()).collect()
     }
 }

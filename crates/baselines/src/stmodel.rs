@@ -312,7 +312,7 @@ impl StBaseline {
         )
     }
 
-    fn run_sample(&self, sess: &mut Session, sample: &WindowSample) -> (Vec<Var>, Vec<Var>, Var) {
+    fn build_tape(&self, sess: &mut Session, sample: &WindowSample) -> (Vec<Var>, Vec<Var>, Var) {
         assert_eq!(
             sample.history_len(),
             self.cfg.history,
@@ -426,7 +426,7 @@ impl Forecaster for StBaseline {
 
     fn accumulate_gradients(&mut self, sample: &WindowSample) -> f64 {
         let mut sess = Session::new(&self.store);
-        let (_, _, loss) = self.run_sample(&mut sess, sample);
+        let (_, _, loss) = self.build_tape(&mut sess, sample);
         let value = sess.tape.value(loss)[(0, 0)];
         sess.backward(loss);
         sess.write_grads(&mut self.store);
@@ -435,13 +435,13 @@ impl Forecaster for StBaseline {
 
     fn loss(&self, sample: &WindowSample) -> f64 {
         let mut sess = Session::new(&self.store);
-        let (_, _, loss) = self.run_sample(&mut sess, sample);
+        let (_, _, loss) = self.build_tape(&mut sess, sample);
         sess.tape.value(loss)[(0, 0)]
     }
 
     fn predict(&self, sample: &WindowSample) -> Vec<Matrix> {
         let mut sess = Session::new(&self.store);
-        let (preds, _, _) = self.run_sample(&mut sess, sample);
+        let (preds, _, _) = self.build_tape(&mut sess, sample);
         preds.iter().map(|&v| sess.tape.value(v).clone()).collect()
     }
 }
@@ -451,7 +451,7 @@ impl Imputer for StBaseline {
     /// return zero estimates, matching their lack of an imputation path).
     fn impute(&self, sample: &WindowSample) -> Vec<Matrix> {
         let mut sess = Session::new(&self.store);
-        let (_, ests, _) = self.run_sample(&mut sess, sample);
+        let (_, ests, _) = self.build_tape(&mut sess, sample);
         if ests.is_empty() {
             return vec![Matrix::zeros(self.num_nodes, self.num_features); sample.history_len()];
         }

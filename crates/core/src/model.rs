@@ -23,6 +23,7 @@ use st_data::{DayProfiles, TrafficDataset, WindowSample};
 use st_graph::{gaussian_adjacency, partition_day, Interval, IntervalConfig};
 use st_nn::{HgcnBlock, Linear, LstmCell, ParamId, ParamStore, Session};
 use st_tensor::{rng, Matrix};
+use std::borrow::Cow;
 
 /// One direction's recurrent cells: an LSTM plus the estimation head
 /// producing `X̂_{t+1}` from `Z_t`.
@@ -32,27 +33,13 @@ struct DirectionCells {
     est_head: Linear,
 }
 
-/// Outputs of one directional pass over a sample.
+/// Outputs of one directional pass over the stacked windows.
 struct DirectionRun {
-    /// `Z_t = [S_t ; H_t]` per history step, each `N × (p+q)`.
+    /// `Z_t = [S_t ; H_t]` per history step, each `(B·N) × (p+q)`.
     z: Vec<Var>,
     /// `estimates[t]` is the direction's estimate of `X_t` (a zero constant
     /// at the direction's first step, matching the paper's `X̂_0 = 0`).
     estimates: Vec<Var>,
-}
-
-/// Everything a forward pass produces for one sample.
-pub(crate) struct SampleRun {
-    /// Horizon predictions, one `N × D` tape node per step.
-    pub predictions: Vec<Var>,
-    /// Per-step imputation estimates `X̂_t` (average of directions).
-    pub estimates: Vec<Var>,
-    /// Prediction loss `L_c`.
-    pub prediction_loss: Var,
-    /// Imputation loss `L_m`.
-    pub imputation_loss: Var,
-    /// Total loss `L_c + λ·L_m`.
-    pub total_loss: Var,
 }
 
 /// Concrete (detached) outputs of the model on one sample, in the
@@ -65,28 +52,32 @@ pub struct SampleOutput {
     pub estimates: Vec<Matrix>,
 }
 
-/// A batch of `B` inference windows stacked for one tape run.
+/// `B` windows stacked for one tape run — the model's only input layout.
 ///
 /// Per history step `t`, `inputs[t]` and `masks[t]` hold the `B` windows'
 /// `N × F` matrices row-stacked into one `(B·N) × F` block — window `b`
-/// occupies rows `[b·N, (b+1)·N)` — and `slots[t][b]` is window `b`'s
-/// time-of-day slot at that step. Row-stacking is the canonical batched
-/// layout because every row-local model op (elementwise arithmetic, the
-/// LSTM and head right-multiplies, per-row softmax) applied to the stack
-/// is bit-identical per block to the unbatched run; the graph-convolution
-/// left-multiplies `T_k(L̃) · X` — the only column-local ops — run in the
-/// wide `N × (B·F)` permutation of the same data (see
-/// [`st_nn::HgcnBlock::forward_batched`]), so one packed-panel matmul
-/// covers all `B` windows.
+/// occupies rows `[b·N, (b+1)·N)` — and window `b`'s time-of-day slot at
+/// that step is `slots[t·B + b]`. Row-stacking is the canonical layout
+/// because every row-local model op (elementwise arithmetic, the LSTM and
+/// head right-multiplies, per-row softmax) applied to the stack is
+/// bit-identical per block to a run on that window alone; the
+/// graph-convolution left-multiplies `T_k(L̃) · X` — the only column-local
+/// ops — run in the wide `N × (B·F)` permutation of the same data (see
+/// [`st_nn::HgcnBlock::forward`]), so one packed-panel matmul covers all
+/// `B` windows.
+///
+/// A single [`WindowSample`] is the batch of one, borrowed in place: at
+/// `B = 1` the stacked layout *is* the sample's own `N × F` matrices and
+/// step-major slots are its `slots`, so no matrix is copied.
 #[derive(Debug, Clone)]
-pub struct BatchedWindow {
-    inputs: Vec<Matrix>,
-    masks: Vec<Matrix>,
-    slots: Vec<Vec<usize>>,
+pub struct BatchedWindow<'a> {
+    inputs: Cow<'a, [Matrix]>,
+    masks: Cow<'a, [Matrix]>,
+    slots: Cow<'a, [usize]>,
     batch: usize,
 }
 
-impl BatchedWindow {
+impl<'a> BatchedWindow<'a> {
     /// Stacks `B` same-shaped window samples (only their history parts —
     /// inputs, masks and slots; targets are inference-irrelevant).
     ///
@@ -104,39 +95,44 @@ impl BatchedWindow {
         }
         let mut inputs = Vec::with_capacity(t_len);
         let mut masks = Vec::with_capacity(t_len);
-        let mut slots = Vec::with_capacity(t_len);
+        let mut slots = Vec::with_capacity(t_len * samples.len());
         for t in 0..t_len {
             let step_inputs: Vec<&Matrix> = samples.iter().map(|s| &s.inputs[t]).collect();
             let step_masks: Vec<&Matrix> = samples.iter().map(|s| &s.masks[t]).collect();
             inputs.push(Matrix::stack_rows(&step_inputs));
             masks.push(Matrix::stack_rows(&step_masks));
-            slots.push(samples.iter().map(|s| s.slots[t]).collect());
+            slots.extend(samples.iter().map(|s| s.slots[t]));
         }
+        Self::from_parts(inputs, masks, slots, samples.len())
+    }
+
+    /// The batch of one over `sample`, borrowing its matrices.
+    pub(crate) fn from_sample(sample: &'a WindowSample) -> Self {
         Self {
-            inputs,
-            masks,
-            slots,
-            batch: samples.len(),
+            inputs: Cow::Borrowed(&sample.inputs),
+            masks: Cow::Borrowed(&sample.masks),
+            slots: Cow::Borrowed(&sample.slots),
+            batch: 1,
         }
     }
 
-    /// Assembles a batch from already-stacked step blocks — the
-    /// allocation-lean spine of the serving path, which normalises
-    /// snapshot entries straight into the `(B·N) × F` stacks instead of
-    /// materialising `B` per-window samples first.
+    /// Assembles a batch from already-stacked step blocks and step-major
+    /// slots — the allocation-lean spine of the serving path, which
+    /// normalises snapshot entries straight into the `(B·N) × F` stacks
+    /// instead of materialising `B` per-window samples first.
     pub(crate) fn from_parts(
         inputs: Vec<Matrix>,
         masks: Vec<Matrix>,
-        slots: Vec<Vec<usize>>,
+        slots: Vec<usize>,
         batch: usize,
     ) -> Self {
         debug_assert!(batch > 0, "batch needs at least one window");
         debug_assert_eq!(inputs.len(), masks.len());
-        debug_assert_eq!(inputs.len(), slots.len());
+        debug_assert_eq!(inputs.len() * batch, slots.len());
         Self {
-            inputs,
-            masks,
-            slots,
+            inputs: Cow::Owned(inputs),
+            masks: Cow::Owned(masks),
+            slots: Cow::Owned(slots),
             batch,
         }
     }
@@ -150,15 +146,33 @@ impl BatchedWindow {
     pub fn history_len(&self) -> usize {
         self.inputs.len()
     }
+
+    /// The `B` windows' time-of-day slots at history step `t`.
+    fn slots_at(&self, t: usize) -> &[usize] {
+        &self.slots[t * self.batch..(t + 1) * self.batch]
+    }
 }
 
-/// Tape nodes of one batched forward pass: per-step stacked predictions
-/// and estimates, sliced into per-window outputs after the run.
-pub(crate) struct BatchedRun {
-    /// Horizon predictions, one stacked `(B·N) × D` tape node per step.
+/// Tape nodes of one forward pass over `B` stacked windows.
+pub(crate) struct Run {
+    /// Horizon predictions, one stacked `(B·N) × D` node per step.
     pub(crate) predictions: Vec<Var>,
-    /// Per-step imputation estimates (average of directions), stacked.
+    /// Per-step imputation estimates `X̂_t` (average of directions), stacked.
     pub(crate) estimates: Vec<Var>,
+    /// The forward direction's own per-step estimates.
+    forward: Vec<Var>,
+    /// The backward direction's own per-step estimates, if bidirectional.
+    backward: Option<Vec<Var>>,
+}
+
+/// The loss nodes of one window (see [`RihgcnModel::losses`]).
+struct Losses {
+    /// Prediction loss `L_c`.
+    prediction: Var,
+    /// Imputation loss `L_m`.
+    imputation: Var,
+    /// Total loss `L_c + λ·L_m`.
+    total: Var,
 }
 
 /// The Recurrent-Imputation Heterogeneous GCN traffic forecaster.
@@ -397,20 +411,8 @@ impl RihgcnModel {
     ///
     /// Panics if the sample's shape disagrees with the model.
     pub fn forward(&self, sample: &WindowSample) -> SampleOutput {
-        let mut sess = Session::new(&self.store);
-        let run = self.run_sample(&mut sess, sample);
-        SampleOutput {
-            predictions: run
-                .predictions
-                .iter()
-                .map(|&v| sess.tape.value(v).clone())
-                .collect(),
-            estimates: run
-                .estimates
-                .iter()
-                .map(|&v| sess.tape.value(v).clone())
-                .collect(),
-        }
+        self.forward_batched(&BatchedWindow::from_sample(sample))
+            .swap_remove(0)
     }
 
     /// [`RihgcnModel::forward`] through the recycled session: the tape and
@@ -419,84 +421,14 @@ impl RihgcnModel {
     ///
     /// Bit-identical to `forward` — pooled buffers are fully overwritten
     /// before use, which `tests/tape_equivalence.rs` pins down — and shares
-    /// the session with training, so interleaving the two is fine. This is
-    /// what the serve engine calls per forecast.
+    /// the session with training, so interleaving the two is fine.
     ///
     /// # Panics
     ///
     /// Panics if the sample's shape disagrees with the model.
     pub fn forward_recycled(&mut self, sample: &WindowSample) -> SampleOutput {
-        let mut sess = match self.session.take() {
-            Some(mut s) => {
-                s.reset(&self.store);
-                s
-            }
-            None => Session::new(&self.store),
-        };
-        let run = self.run_sample(&mut sess, sample);
-        let out = SampleOutput {
-            predictions: run
-                .predictions
-                .iter()
-                .map(|&v| sess.tape.value(v).clone())
-                .collect(),
-            estimates: run
-                .estimates
-                .iter()
-                .map(|&v| sess.tape.value(v).clone())
-                .collect(),
-        };
-        self.session = Some(sess);
-        out
-    }
-
-    /// Runs the model on one sample through the recycled session and hands
-    /// the live tape to `f` instead of cloning every output matrix.
-    ///
-    /// This is the zero-copy spine of [`RihgcnModel::forward_recycled`]:
-    /// callers that only need to *read* predictions or estimates (e.g. to
-    /// denormalise them straight into a response buffer) borrow the tape
-    /// values in place, skipping the per-call `Vec<Matrix>` clone.
-    pub(crate) fn with_recycled_run<R>(
-        &mut self,
-        sample: &WindowSample,
-        f: impl FnOnce(&Session, &SampleRun) -> R,
-    ) -> R {
-        let mut sess = match self.session.take() {
-            Some(mut s) => {
-                s.reset(&self.store);
-                s
-            }
-            None => Session::new(&self.store),
-        };
-        let run = self.run_sample(&mut sess, sample);
-        let out = f(&sess, &run);
-        self.session = Some(sess);
-        out
-    }
-
-    /// Runs one batched pass through the recycled session and hands the
-    /// live tape to `f` — the batched analogue of
-    /// [`RihgcnModel::with_recycled_run`]. Serving reads predictions off
-    /// the stacked tape values in place (denormalising block `b` straight
-    /// into the response), never materialising per-window
-    /// [`SampleOutput`]s or the unused imputation estimates.
-    pub(crate) fn with_batched_recycled_run<R>(
-        &mut self,
-        batch: &BatchedWindow,
-        f: impl FnOnce(&Session, &BatchedRun) -> R,
-    ) -> R {
-        let mut sess = match self.session.take() {
-            Some(mut s) => {
-                s.reset(&self.store);
-                s
-            }
-            None => Session::new(&self.store),
-        };
-        let run = self.run_batched(&mut sess, batch);
-        let out = f(&sess, &run);
-        self.session = Some(sess);
-        out
+        self.forward_batched_recycled(&BatchedWindow::from_sample(sample))
+            .swap_remove(0)
     }
 
     /// Runs the model once over a batch of `B` windows, returning each
@@ -513,21 +445,31 @@ impl RihgcnModel {
     /// # Panics
     ///
     /// Panics if the batch's shape disagrees with the model.
-    pub fn forward_batched(&self, batch: &BatchedWindow) -> Vec<SampleOutput> {
+    pub fn forward_batched(&self, batch: &BatchedWindow<'_>) -> Vec<SampleOutput> {
         let mut sess = Session::new(&self.store);
-        let run = self.run_batched(&mut sess, batch);
-        self.split_batched(&sess, &run, batch.batch)
+        let run = self.run(&mut sess, batch);
+        self.split(&sess, &run, batch.batch)
     }
 
     /// [`RihgcnModel::forward_batched`] through the recycled session, the
     /// same take/reset/put cycle as [`RihgcnModel::forward_recycled`]:
-    /// steady-state batched inference reuses the tape's buffer pool. This
-    /// is what an engine shard calls per drained batch.
+    /// steady-state batched inference reuses the tape's buffer pool.
     ///
     /// # Panics
     ///
     /// Panics if the batch's shape disagrees with the model.
-    pub fn forward_batched_recycled(&mut self, batch: &BatchedWindow) -> Vec<SampleOutput> {
+    pub fn forward_batched_recycled(&mut self, batch: &BatchedWindow<'_>) -> Vec<SampleOutput> {
+        self.with_session(|model, sess| {
+            let run = model.run(sess, batch);
+            model.split(sess, &run, batch.batch)
+        })
+    }
+
+    /// Runs `f` on the recycled session: takes it (or starts the first
+    /// one), resets it against the current parameters, and puts it back
+    /// afterwards, so the tape's buffer pool persists across training
+    /// steps and inference calls alike.
+    pub(crate) fn with_session<R>(&mut self, f: impl FnOnce(&mut Self, &mut Session) -> R) -> R {
         let mut sess = match self.session.take() {
             Some(mut s) => {
                 s.reset(&self.store);
@@ -535,28 +477,20 @@ impl RihgcnModel {
             }
             None => Session::new(&self.store),
         };
-        let run = self.run_batched(&mut sess, batch);
-        let out = self.split_batched(&sess, &run, batch.batch);
+        let out = f(self, &mut sess);
         self.session = Some(sess);
         out
     }
 
-    /// Slices the stacked tape values of a batched run into per-window
-    /// outputs (window `b` = rows `[b·N, (b+1)·N)` of every node).
-    fn split_batched(&self, sess: &Session, run: &BatchedRun, batch: usize) -> Vec<SampleOutput> {
+    /// Slices the stacked tape values of a run into per-window outputs
+    /// (window `b` = rows `[b·N, (b+1)·N)` of every node).
+    fn split(&self, sess: &Session, run: &Run, batch: usize) -> Vec<SampleOutput> {
         let n = self.num_nodes;
+        let block = |v: &Var, b: usize| sess.tape.value(*v).slice_rows(b * n, (b + 1) * n);
         (0..batch)
             .map(|b| SampleOutput {
-                predictions: run
-                    .predictions
-                    .iter()
-                    .map(|&v| sess.tape.value(v).slice_rows(b * n, (b + 1) * n))
-                    .collect(),
-                estimates: run
-                    .estimates
-                    .iter()
-                    .map(|&v| sess.tape.value(v).slice_rows(b * n, (b + 1) * n))
-                    .collect(),
+                predictions: run.predictions.iter().map(|v| block(v, b)).collect(),
+                estimates: run.estimates.iter().map(|v| block(v, b)).collect(),
             })
             .collect()
     }
@@ -565,214 +499,85 @@ impl RihgcnModel {
     /// sample, before the `λ` weighting (used by the Figure-5 λ study).
     pub fn loss_components(&self, sample: &WindowSample) -> (f64, f64) {
         let mut sess = Session::new(&self.store);
-        let run = self.run_sample(&mut sess, sample);
+        let losses = self.losses(&mut sess, sample);
         (
-            sess.tape.value(run.prediction_loss)[(0, 0)],
-            sess.tape.value(run.imputation_loss)[(0, 0)],
+            sess.tape.value(losses.prediction)[(0, 0)],
+            sess.tape.value(losses.imputation)[(0, 0)],
         )
     }
 
-    /// Builds the full tape for one sample.
-    pub(crate) fn run_sample(&self, sess: &mut Session, sample: &WindowSample) -> SampleRun {
-        let history = self.cfg.history;
-        let _span = st_obs::span!("core.forward", history);
-        assert_eq!(
-            sample.history_len(),
-            self.cfg.history,
-            "history length mismatch"
-        );
+    /// Builds the forward graph of one sample (its batch of one) and then
+    /// its joint loss.
+    ///
+    /// The backward sweep sums each node's gradient in the reverse creation
+    /// order of its consumers, so the terms below keep the order the
+    /// training bits are pinned to: per step, observation error then
+    /// consistency; then the horizon terms (DESIGN §13).
+    fn losses(&self, sess: &mut Session, sample: &WindowSample) -> Losses {
         assert_eq!(
             sample.horizon_len(),
             self.cfg.horizon,
             "horizon length mismatch"
         );
-        assert_eq!(
-            sample.inputs[0].shape(),
-            (self.num_nodes, self.num_features)
-        );
-
+        let run = self.run(sess, &BatchedWindow::from_sample(sample));
         let t_len = self.cfg.history;
-        let fwd_run = self.run_direction(sess, sample, &self.fwd, false);
-        let bwd_run = self
-            .bwd
-            .as_ref()
-            .map(|cells| self.run_direction(sess, sample, cells, true));
 
         // --- imputation loss (Eq. 6) -----------------------------------
         let mut imp_terms: Vec<Var> = Vec::with_capacity(2 * t_len);
-        let mut estimates: Vec<Var> = Vec::with_capacity(t_len);
         for t in 0..t_len {
-            let est = match &bwd_run {
-                Some(b) => {
-                    let s = sess.tape.add(fwd_run.estimates[t], b.estimates[t]);
-                    sess.tape.scale(s, 0.5)
-                }
-                None => fwd_run.estimates[t],
-            };
-            estimates.push(est);
             // Observation error on observed entries.
             let target = sess.constant_ref(&sample.inputs[t]);
             let mask_c = sess.constant_ref(&sample.masks[t]);
-            let obs_err = sess.tape.masked_mae_var(est, target, mask_c);
+            let obs_err = sess.tape.masked_mae_var(run.estimates[t], target, mask_c);
             imp_terms.push(obs_err);
             // Forward/backward consistency on missing entries. The inverse
             // mask `1 − M` is built on the tape (−M then +1) so its buffer
             // comes from the pool; for binary masks the result is
             // bit-identical to materialising `map(|m| 1.0 − m)`.
             if self.cfg.consistency_weight > 0.0 {
-                if let Some(b) = &bwd_run {
+                if let Some(backward) = &run.backward {
                     let neg_mask = sess.tape.scale(mask_c, -1.0);
                     let inv_mask = sess.tape.add_scalar(neg_mask, 1.0);
-                    let cons =
-                        sess.tape
-                            .masked_mae_var(fwd_run.estimates[t], b.estimates[t], inv_mask);
+                    let cons = sess
+                        .tape
+                        .masked_mae_var(run.forward[t], backward[t], inv_mask);
                     let cons = sess.tape.scale(cons, self.cfg.consistency_weight);
                     imp_terms.push(cons);
                 }
             }
         }
         let imp_sum = sum_vars(sess, &imp_terms);
-        let imputation_loss = sess.tape.scale(imp_sum, 1.0 / t_len as f64);
+        let imputation = sess.tape.scale(imp_sum, 1.0 / t_len as f64);
 
-        // --- prediction (Eq. 7) -----------------------------------------
-        let z_bi: Vec<Var> = (0..t_len)
-            .map(|t| match &bwd_run {
-                Some(b) => sess.tape.concat_cols(fwd_run.z[t], b.z[t]),
-                None => fwd_run.z[t],
-            })
-            .collect();
-        let head_in = match self.cfg.head {
-            PredictionHead::Concat => {
-                let mut wide: Option<Var> = None;
-                for &z_t in &z_bi {
-                    wide = Some(match wide {
-                        Some(w) => sess.tape.concat_cols(w, z_t),
-                        None => z_t,
-                    });
-                }
-                wide.expect("history is non-empty")
-            }
-            PredictionHead::Attention => {
-                // Attention over time: α = softmax_t(mean_n(Z_t · v)),
-                // context = Σ α_t Z_t (the paper's weighted-sum option).
-                let va = sess.var(
-                    &self.store,
-                    self.attention.expect("attention head allocates its vector"),
-                );
-                let mut scores: Option<Var> = None;
-                for &z_t in &z_bi {
-                    let proj = sess.tape.matmul(z_t, va);
-                    let score = sess.tape.mean(proj);
-                    scores = Some(match scores {
-                        Some(acc) => sess.tape.concat_cols(acc, score),
-                        None => score,
-                    });
-                }
-                let alphas = sess
-                    .tape
-                    .softmax_rows(scores.expect("history is non-empty"));
-                let mut context: Option<Var> = None;
-                for (t, &z_t) in z_bi.iter().enumerate() {
-                    let a_t = sess.tape.slice_cols(alphas, t, t + 1);
-                    let weighted = sess.tape.scale_var(z_t, a_t);
-                    context = Some(match context {
-                        Some(acc) => sess.tape.add(acc, weighted),
-                        None => weighted,
-                    });
-                }
-                context.expect("history is non-empty")
-            }
-        };
-        let pred_flat = self.pred_head.forward(sess, &self.store, head_in);
-
-        let d = self.num_features;
-        let mut predictions = Vec::with_capacity(self.cfg.horizon);
+        // --- prediction loss (Eq. 7) -----------------------------------
         let mut pred_terms = Vec::with_capacity(self.cfg.horizon);
-        for h in 0..self.cfg.horizon {
-            let step = sess.tape.slice_cols(pred_flat, h * d, (h + 1) * d);
+        for (h, &step) in run.predictions.iter().enumerate() {
             let target = sess.constant_ref(&sample.targets[h]);
-            let err = sess.tape.masked_mae(step, target, &sample.target_masks[h]);
-            pred_terms.push(err);
-            predictions.push(step);
+            pred_terms.push(sess.tape.masked_mae(step, target, &sample.target_masks[h]));
         }
         let pred_sum = sum_vars(sess, &pred_terms);
-        let prediction_loss = sess.tape.scale(pred_sum, 1.0 / self.cfg.horizon as f64);
+        let prediction = sess.tape.scale(pred_sum, 1.0 / self.cfg.horizon as f64);
 
-        let weighted_imp = sess.tape.scale(imputation_loss, self.cfg.lambda);
-        let total_loss = sess.tape.add(prediction_loss, weighted_imp);
-
-        SampleRun {
-            predictions,
-            estimates,
-            prediction_loss,
-            imputation_loss,
-            total_loss,
+        let weighted_imp = sess.tape.scale(imputation, self.cfg.lambda);
+        let total = sess.tape.add(prediction, weighted_imp);
+        Losses {
+            prediction,
+            imputation,
+            total,
         }
     }
 
-    /// Runs one direction of the recurrent imputation.
-    fn run_direction(
-        &self,
-        sess: &mut Session,
-        sample: &WindowSample,
-        cells: &DirectionCells,
-        reverse: bool,
-    ) -> DirectionRun {
-        let t_len = self.cfg.history;
-        let order: Vec<usize> = if reverse {
-            (0..t_len).rev().collect()
-        } else {
-            (0..t_len).collect()
-        };
-
-        let mut z: Vec<Option<Var>> = vec![None; t_len];
-        let mut estimates: Vec<Option<Var>> = vec![None; t_len];
-        let mut est_prev = sess.constant_zeros(self.num_nodes, self.num_features);
-        let mut state = cells.lstm.zero_state(sess, self.num_nodes);
-
-        for &t in &order {
-            estimates[t] = Some(est_prev);
-            // Complement input: X̄_t = M⊙X + (1−M)⊙X̂ (Eq. 3). `inputs[t]`
-            // is already M⊙X. The inverse mask is built on the tape (−M then
-            // +1, bit-identical to `1 − M` for binary masks) so every buffer
-            // comes from the pool.
-            let obs = sess.constant_ref(&sample.inputs[t]);
-            let mask_c = sess.constant_ref(&sample.masks[t]);
-            let neg_mask = sess.tape.scale(mask_c, -1.0);
-            let inv_mask = sess.tape.add_scalar(neg_mask, 1.0);
-            let est_part = sess.tape.mul(inv_mask, est_prev);
-            let x_bar = sess.tape.add(obs, est_part);
-
-            let s = self.hgcn.forward(sess, &self.store, sample.slots[t], x_bar);
-            let lstm_in = sess.tape.concat_cols(s, mask_c);
-            state = cells.lstm.step(sess, &self.store, lstm_in, &state);
-            let z_t = sess.tape.concat_cols(s, state.h);
-            z[t] = Some(z_t);
-            est_prev = cells.est_head.forward(sess, &self.store, z_t);
-        }
-
-        DirectionRun {
-            z: z.into_iter()
-                .map(|v| v.expect("all steps visited"))
-                .collect(),
-            estimates: estimates
-                .into_iter()
-                .map(|v| v.expect("all steps visited"))
-                .collect(),
-        }
-    }
-
-    /// Builds the inference tape for a batch of windows.
+    /// Builds the forward tape for a batch of windows — the model's only
+    /// tape builder, shared by training, evaluation and serving.
     ///
-    /// Mirrors [`RihgcnModel::run_sample`] op for op on the row-stacked
-    /// blocks, minus the loss terms (serving batches carry zero targets, so
-    /// the losses are never read). Every op is either row-local — bit-equal
-    /// per block by construction — or one of the batched ops whose per-block
-    /// bit-identity the tape pins (`to_wide`/`to_stacked` permutations,
-    /// `scale_blocks`, `mean_blocks`).
-    fn run_batched(&self, sess: &mut Session, batch: &BatchedWindow) -> BatchedRun {
+    /// Every op is either row-local — bit-equal per block by construction —
+    /// or one of the batched ops whose per-block bit-identity the tape pins
+    /// (`to_wide`/`to_stacked` permutations, `scale_blocks`,
+    /// `mean_blocks`). At `B = 1` the permutations are the identity and
+    /// record nothing.
+    pub(crate) fn run(&self, sess: &mut Session, batch: &BatchedWindow<'_>) -> Run {
         let t_len = self.cfg.history;
-        let _span = st_obs::span!("core.forward_batched", t_len);
+        let _span = st_obs::span!("core.forward", t_len);
         assert_eq!(batch.history_len(), t_len, "history length mismatch");
         assert_eq!(
             batch.inputs[0].shape(),
@@ -781,24 +586,23 @@ impl RihgcnModel {
         );
 
         let b = batch.batch;
-        let fwd_run = self.run_direction_batched(sess, batch, &self.fwd, false);
+        let fwd_run = self.recurrence(sess, batch, &self.fwd, false);
         let bwd_run = self
             .bwd
             .as_ref()
-            .map(|cells| self.run_direction_batched(sess, batch, cells, true));
+            .map(|cells| self.recurrence(sess, batch, cells, true));
 
-        let mut estimates: Vec<Var> = Vec::with_capacity(t_len);
-        for t in 0..t_len {
-            let est = match &bwd_run {
+        let estimates: Vec<Var> = (0..t_len)
+            .map(|t| match &bwd_run {
                 Some(back) => {
                     let s = sess.tape.add(fwd_run.estimates[t], back.estimates[t]);
                     sess.tape.scale(s, 0.5)
                 }
                 None => fwd_run.estimates[t],
-            };
-            estimates.push(est);
-        }
+            })
+            .collect();
 
+        // --- prediction (Eq. 7) -----------------------------------------
         let z_bi: Vec<Var> = (0..t_len)
             .map(|t| match &bwd_run {
                 Some(back) => sess.tape.concat_cols(fwd_run.z[t], back.z[t]),
@@ -817,10 +621,12 @@ impl RihgcnModel {
                 wide.expect("history is non-empty")
             }
             PredictionHead::Attention => {
-                // Per-window attention: scores land in a `B × T` matrix
-                // (row b = window b's score vector), the per-row softmax
-                // matches the unbatched `1 × T` softmax row for row, and
-                // `scale_blocks` applies each window's α_t to its block.
+                // Attention over time, per window: α = softmax_t(mean_n(Z_t
+                // · v)), context = Σ α_t Z_t (the paper's weighted-sum
+                // option). Scores land in a `B × T` matrix (row b = window
+                // b's score vector), the per-row softmax normalises each
+                // window on its own, and `scale_blocks` applies each
+                // window's α_t to its block.
                 let va = sess.var(
                     &self.store,
                     self.attention.expect("attention head allocates its vector"),
@@ -855,20 +661,21 @@ impl RihgcnModel {
         let predictions = (0..self.cfg.horizon)
             .map(|h| sess.tape.slice_cols(pred_flat, h * d, (h + 1) * d))
             .collect();
-        BatchedRun {
+        Run {
             predictions,
             estimates,
+            forward: fwd_run.estimates,
+            backward: bwd_run.map(|r| r.estimates),
         }
     }
 
-    /// One direction of the recurrent imputation over the stacked batch:
-    /// [`RihgcnModel::run_direction`] with `B·N` rows per step. The LSTM,
-    /// estimation head and complement arithmetic are all row-local; the
-    /// HGCN runs its batched variant.
-    fn run_direction_batched(
+    /// Runs one direction of the recurrent imputation over the stacked
+    /// windows. The LSTM, estimation head and complement arithmetic are
+    /// all row-local; the HGCN runs per window through its batched layout.
+    fn recurrence(
         &self,
         sess: &mut Session,
-        batch: &BatchedWindow,
+        batch: &BatchedWindow<'_>,
         cells: &DirectionCells,
         reverse: bool,
     ) -> DirectionRun {
@@ -887,6 +694,10 @@ impl RihgcnModel {
 
         for &t in &order {
             estimates[t] = Some(est_prev);
+            // Complement input: X̄_t = M⊙X + (1−M)⊙X̂ (Eq. 3). `inputs[t]`
+            // is already M⊙X. The inverse mask is built on the tape (−M then
+            // +1, bit-identical to `1 − M` for binary masks) so every buffer
+            // comes from the pool.
             let obs = sess.constant_ref(&batch.inputs[t]);
             let mask_c = sess.constant_ref(&batch.masks[t]);
             let neg_mask = sess.tape.scale(mask_c, -1.0);
@@ -896,7 +707,7 @@ impl RihgcnModel {
 
             let s = self
                 .hgcn
-                .forward_batched(sess, &self.store, &batch.slots[t], x_bar);
+                .forward(sess, &self.store, batch.slots_at(t), x_bar);
             let lstm_in = sess.tape.concat_cols(s, mask_c);
             state = cells.lstm.step(sess, &self.store, lstm_in, &state);
             let z_t = sess.tape.concat_cols(s, state.h);
@@ -958,8 +769,8 @@ impl RihgcnModel {
     /// Loss of one sample without updating parameters (for validation).
     pub fn loss(&self, sample: &WindowSample) -> f64 {
         let mut sess = Session::new(&self.store);
-        let run = self.run_sample(&mut sess, sample);
-        sess.tape.value(run.total_loss)[(0, 0)]
+        let losses = self.losses(&mut sess, sample);
+        sess.tape.value(losses.total)[(0, 0)]
     }
 }
 
@@ -974,22 +785,16 @@ impl crate::Forecaster for RihgcnModel {
 
     fn accumulate_gradients(&mut self, sample: &WindowSample) -> f64 {
         let _span = st_obs::span!("core.train_step");
-        // Take/reset/put: the session (tape + buffer pool) persists across
-        // steps, so at steady state the pass re-records the graph into
-        // recycled buffers instead of reallocating them.
-        let mut sess = match self.session.take() {
-            Some(mut s) => {
-                s.reset(&self.store);
-                s
-            }
-            None => Session::new(&self.store),
-        };
-        let run = self.run_sample(&mut sess, sample);
-        let loss_value = sess.tape.value(run.total_loss)[(0, 0)];
-        sess.backward(run.total_loss);
-        sess.write_grads(&mut self.store);
-        self.session = Some(sess);
-        loss_value
+        // The recycled session persists across steps, so at steady state
+        // the pass re-records the graph into pooled buffers instead of
+        // reallocating them.
+        self.with_session(|model, sess| {
+            let losses = model.losses(sess, sample);
+            let loss_value = sess.tape.value(losses.total)[(0, 0)];
+            sess.backward(losses.total);
+            sess.write_grads(&mut model.store);
+            loss_value
+        })
     }
 
     fn loss(&self, sample: &WindowSample) -> f64 {

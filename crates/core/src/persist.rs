@@ -392,14 +392,13 @@ fn read_matrix<'a>(
     cols: usize,
     what: &str,
 ) -> Result<Matrix, PersistError> {
+    let len = rows
+        .checked_mul(cols)
+        .ok_or_else(|| PersistError::Format(format!("{what}: {rows}x{cols} is too large")))?;
     let data = lines
         .next()
         .ok_or_else(|| PersistError::Format(format!("{what}: missing data line")))?;
-    Ok(Matrix::from_vec(
-        rows,
-        cols,
-        parse_floats(data, rows * cols, what)?,
-    ))
+    Ok(Matrix::from_vec(rows, cols, parse_floats(data, len, what)?))
 }
 
 /// Loads a **self-contained v2 checkpoint** written by [`save_checkpoint`],
@@ -516,7 +515,14 @@ pub fn load_checkpoint<R: BufRead>(mut r: R) -> Result<(RihgcnModel, ZScore), Pe
         .trim()
         .parse()
         .map_err(|e| PersistError::Format(format!("temporal count: {e}")))?;
-    let mut temporal_graphs = Vec::with_capacity(m);
+    // The count is untrusted: check it before it sizes anything.
+    if m != cfg.num_temporal_graphs {
+        return Err(PersistError::Mismatch(format!(
+            "checkpoint has {m} temporal graphs but config says {}",
+            cfg.num_temporal_graphs
+        )));
+    }
+    let mut temporal_graphs = Vec::new();
     for i in 0..m {
         let header = lines
             .next()
@@ -544,12 +550,6 @@ pub fn load_checkpoint<R: BufRead>(mut r: R) -> Result<(RihgcnModel, ZScore), Pe
         }
         let adj = read_matrix(&mut lines, nodes, nodes, &format!("temporal adjacency {i}"))?;
         temporal_graphs.push((Interval::new(start, end), adj));
-    }
-    if m != cfg.num_temporal_graphs {
-        return Err(PersistError::Mismatch(format!(
-            "checkpoint has {m} temporal graphs but config says {}",
-            cfg.num_temporal_graphs
-        )));
     }
 
     // The remainder of the file is an embedded v1 parameter section.

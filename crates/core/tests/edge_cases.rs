@@ -1,7 +1,10 @@
 //! Edge-case robustness: degenerate graph sizes, extreme missingness and
 //! minimal window shapes must not panic or produce non-finite values.
 
-use rihgcn_core::{fit, prepare_split, Forecaster, RihgcnConfig, RihgcnModel, TrainConfig};
+use rihgcn_core::{
+    fit, load_checkpoint, prepare_split, save_checkpoint, Forecaster, PersistError, RihgcnConfig,
+    RihgcnModel, TrainConfig,
+};
 use st_data::{generate_pems, PemsConfig, TrafficDataset, WindowSampler};
 use st_graph::RoadNetwork;
 use st_tensor::{rng, Matrix, Tensor3};
@@ -130,4 +133,67 @@ fn wrong_window_shape_is_rejected() {
     let model = RihgcnModel::from_dataset(&ds, cfg(4, 2));
     let sample = WindowSampler::new(6, 2, 1).window_at(&ds, 0);
     let _ = model.predict(&sample);
+}
+
+/// A valid checkpoint of a small model with `cfg`'s two temporal graphs.
+fn small_checkpoint() -> String {
+    let ds = generate_pems(&PemsConfig {
+        num_nodes: 3,
+        num_days: 2,
+        ..Default::default()
+    });
+    let (norm, z) = prepare_split(&ds.split_chronological());
+    let model = RihgcnModel::from_dataset(&norm.train, cfg(4, 2));
+    let mut bytes = Vec::new();
+    save_checkpoint(&model, &z, &mut bytes).expect("checkpoint saves");
+    String::from_utf8(bytes).expect("checkpoints are text")
+}
+
+/// `text` with the line `from` replaced by `to`.
+fn with_line(text: &str, from: &str, to: &str) -> String {
+    assert!(
+        text.lines().any(|l| l == from),
+        "checkpoint has no line {from:?}"
+    );
+    text.lines()
+        .map(|l| if l == from { to } else { l })
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+#[test]
+fn huge_temporal_count_is_a_typed_error() {
+    let text = with_line(&small_checkpoint(), "temporal 2", "temporal 100000000000");
+    let err = load_checkpoint(text.as_bytes()).expect_err("count is far beyond the config");
+    assert!(matches!(err, PersistError::Mismatch(_)), "{err}");
+}
+
+#[test]
+fn temporal_count_near_usize_max_is_a_typed_error() {
+    let text = with_line(
+        &small_checkpoint(),
+        "temporal 2",
+        "temporal 4000000000000000000",
+    );
+    let err = load_checkpoint(text.as_bytes()).expect_err("count is far beyond the config");
+    assert!(matches!(err, PersistError::Mismatch(_)), "{err}");
+}
+
+#[test]
+fn overflowing_matrix_size_is_a_typed_error() {
+    // 2^32 nodes: the `N × N` geographic section overflows `usize`.
+    let text = small_checkpoint();
+    let meta = text
+        .lines()
+        .find(|l| l.starts_with("meta nodes 3 "))
+        .expect("meta line");
+    let huge = 1u64 << 32;
+    let text = with_line(
+        &text,
+        meta,
+        &meta.replace("nodes 3 ", &format!("nodes {huge} ")),
+    );
+    let text = with_line(&text, "geo 3 3", &format!("geo {huge} {huge}"));
+    let err = load_checkpoint(text.as_bytes()).expect_err("section size overflows");
+    assert!(matches!(err, PersistError::Format(_)), "{err}");
 }

@@ -69,7 +69,7 @@ fn hgcn_check(threads: usize, label: &str) {
     let run = |store: &ParamStore, id: st_nn::ParamId| -> (f64, Matrix) {
         let mut sess = Session::new(store);
         let x = sess.constant(x0.clone());
-        let y = block.forward(&mut sess, store, 100, x);
+        let y = block.forward(&mut sess, store, &[100], x);
         let sq = sess.tape.mul(y, y);
         let loss = sess.tape.mean(sq);
         sess.backward(loss);

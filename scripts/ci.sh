@@ -18,6 +18,12 @@ ST_NUM_THREADS=1 cargo test -q --offline --workspace
 echo "== test (4 worker threads) =="
 ST_NUM_THREADS=4 cargo test -q --offline --workspace
 
+echo "== stbench (compile + unit tests) =="
+# The paper-shape benchmark is a workspace of its own, so the stages above
+# never compile it; build and unit-test it here so an API change in the
+# crates it calls fails CI rather than the benchmark run.
+CARGO_TARGET_DIR=target/stbench cargo test -q --offline --manifest-path stbench/Cargo.toml
+
 echo "== serve smoke (train a checkpoint, run the HTTP service) =="
 # End-to-end over the real network stack: generate a tiny dataset, train
 # one epoch into a self-contained checkpoint, then — at both thread-count
